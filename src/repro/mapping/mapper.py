@@ -48,14 +48,20 @@ class Cut:
     table: TruthTable
 
 
-def _rebase(table: TruthTable, old_leaves: tuple[str, ...],
-            new_leaves: tuple[str, ...]) -> TruthTable:
-    """Re-express a cut function over a superset leaf list."""
-    position = {leaf: k for k, leaf in enumerate(new_leaves)}
-    m = len(new_leaves)
-    return table.compose(
-        [TruthTable.var(m, position[leaf]) for leaf in old_leaves]
-    )
+def _rebase(cut: Cut, position: dict[str, int], memo: dict) -> TruthTable:
+    """Re-express a cut's function over a superset leaf list.
+
+    ``position`` maps each merged leaf to its variable index.  ``memo``
+    is one enumeration's cache: cut functions are small and the same
+    rebase recurs across many nodes.
+    """
+    m = len(position)
+    key = (cut.table, tuple(position[leaf] for leaf in cut.leaves), m)
+    rebased = memo.get(key)
+    if rebased is None:
+        rebased = cut.table.compose([TruthTable.var(m, p) for p in key[1]])
+        memo[key] = rebased
+    return rebased
 
 
 def enumerate_cuts(subject: Network, max_leaves: int,
@@ -70,6 +76,7 @@ def enumerate_cuts(subject: Network, max_leaves: int,
     cuts: dict[str, list[Cut]] = {}
     depth: dict[str, int] = {}
     projection = TruthTable.var(1, 0)
+    memo: dict = {}
     for name in subject.topological():
         node = subject.nodes[name]
         if node.is_input:
@@ -88,9 +95,8 @@ def enumerate_cuts(subject: Network, max_leaves: int,
             leaves = tuple(sorted(leaf_set))
             if leaves in candidates:
                 continue
-            substitutions = [
-                _rebase(cut.table, cut.leaves, leaves) for cut in combo
-            ]
+            position = {leaf: k for k, leaf in enumerate(leaves)}
+            substitutions = [_rebase(cut, position, memo) for cut in combo]
             candidates[leaves] = Cut(
                 leaves, node.function.compose(substitutions)
             )

@@ -15,6 +15,7 @@ hashable, allocation-free boolean algebra.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 MAX_INPUTS = 16
 """Hard cap on truth-table width (2**16 output bits)."""
@@ -25,10 +26,12 @@ def _mask(n_inputs: int) -> int:
     return (1 << (1 << n_inputs)) - 1
 
 
+@cache
 def _var_pattern(n_inputs: int, index: int) -> int:
     """Bit pattern of the projection function ``x[index]``.
 
     Row ``i`` of the table is 1 exactly when bit ``index`` of ``i`` is 1.
+    Memoized: there are at most 136 ``(n_inputs, index)`` pairs.
     """
     bits = 0
     for row in range(1 << n_inputs):
@@ -330,29 +333,33 @@ class TruthTable:
 
         All substitution tables must share one arity ``m``; the result is
         an ``m``-input table computing ``self(sub_0(x), ..., sub_{n-1}(x))``.
+
+        Works on the packed integers: a Shannon expansion folds the
+        ``2**n`` rows of ``self`` pairwise, variable 0 first, each pair
+        becoming ``sub_k ? high : low`` over the ``m``-input rows.
         """
-        if len(substitutions) != self.n_inputs:
+        n = self.n_inputs
+        if len(substitutions) != n:
             raise ValueError(
-                f"expected {self.n_inputs} substitutions, got {len(substitutions)}"
+                f"expected {n} substitutions, got {len(substitutions)}"
             )
-        if self.n_inputs == 0:
+        if n == 0:
             raise ValueError("cannot compose a 0-input function")
         m = substitutions[0].n_inputs
         for sub in substitutions:
             if sub.n_inputs != m:
                 raise ValueError("substitutions must share one arity")
-        result = TruthTable.const(m, False)
-        for row in range(1 << self.n_inputs):
-            if not self.bits >> row & 1:
-                continue
-            term = TruthTable.const(m, True)
-            for k in range(self.n_inputs):
-                sub = substitutions[k]
-                term = term & (sub if row >> k & 1 else ~sub)
-                if term.bits == 0:
-                    break
-            result = result | term
-        return result
+        mask = _mask(m)
+        bits = self.bits
+        level = [mask if bits >> row & 1 else 0 for row in range(1 << n)]
+        for sub in substitutions:
+            on = sub.bits
+            off = ~on & mask
+            level = [
+                low if low == high else (on & high) | (off & low)
+                for low, high in zip(level[::2], level[1::2])
+            ]
+        return TruthTable(m, level[0])
 
     def minterms(self) -> list[int]:
         """Rows on which the function is 1, ascending."""

@@ -60,9 +60,20 @@ class Node:
 class Network:
     """A combinational logic network.
 
-    The class maintains fanout indices incrementally and provides the
-    topological iteration, structural editing, and simulation primitives
-    that the optimizer, mapper, timer, and dual-Vdd passes build on.
+    The class provides the topological iteration, structural editing,
+    and simulation primitives that the optimizer, mapper, timer, and
+    dual-Vdd passes build on.
+
+    Structural edits go through the mutators (:meth:`add_input`,
+    :meth:`add_node`, :meth:`remove_node`, :meth:`replace_fanin`,
+    :meth:`substitute`, :meth:`insert_buffer`, :meth:`set_function`),
+    never through direct writes to :attr:`Node.fanins`.  Each mutator
+    updates the fanout sets by delta, so ``fanouts()`` stays O(1)
+    across an optimizer's edit loop.  The order-bearing caches (reader
+    lists and pins, in-degrees, the topological order and its index)
+    are dropped on every edit and rebuilt from scratch by the next
+    query that needs them, so the order they encode never depends on
+    the edit history.
     """
 
     def __init__(self, name: str = "top"):
@@ -82,30 +93,25 @@ class Network:
     # Construction and editing
     # ------------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._fanouts = None
+    def _drop_order(self) -> None:
+        """Forget the order-bearing caches; the next query rebuilds them."""
         self._topo = None
         self._topo_index = None
         self._reader_pins = None
         self._readers = None
         self._in_degree = None
 
-    def add_input(self, name: str) -> Node:
-        """Declare a primary input node."""
-        if name in self.nodes:
-            raise ValueError(f"node {name!r} already exists")
-        node = Node(name, [], None)
-        self.nodes[name] = node
-        self.inputs.append(name)
-        self._invalidate()
-        return node
+    def _invalidate(self) -> None:
+        """Forget every cache, fanout sets included.
 
-    def add_node(self, name: str, fanins: Iterable[str],
-                 function: TruthTable, cell=None) -> Node:
-        """Add an internal node computing ``function`` over ``fanins``."""
-        if name in self.nodes:
-            raise ValueError(f"node {name!r} already exists")
-        fanins = list(fanins)
+        Only for code that edited :attr:`Node.fanins` behind the
+        mutators' back; the mutators keep the fanout sets themselves.
+        """
+        self._fanouts = None
+        self._drop_order()
+
+    def _check_fanins(self, name: str, fanins: list[str],
+                      function: TruthTable) -> None:
         if function.n_inputs != len(fanins):
             raise ValueError(
                 f"node {name!r}: function arity {function.n_inputs} "
@@ -114,10 +120,59 @@ class Network:
         for fanin in fanins:
             if fanin not in self.nodes:
                 raise ValueError(f"node {name!r}: unknown fanin {fanin!r}")
+
+    def add_input(self, name: str) -> Node:
+        """Declare a primary input node."""
+        if name in self.nodes:
+            raise ValueError(f"node {name!r} already exists")
+        node = Node(name, [], None)
+        self.nodes[name] = node
+        self.inputs.append(name)
+        if self._fanouts is not None:
+            self._fanouts[name] = set()
+        self._drop_order()
+        return node
+
+    def add_node(self, name: str, fanins: Iterable[str],
+                 function: TruthTable, cell=None) -> Node:
+        """Add an internal node computing ``function`` over ``fanins``."""
+        if name in self.nodes:
+            raise ValueError(f"node {name!r} already exists")
+        fanins = list(fanins)
+        self._check_fanins(name, fanins, function)
         node = Node(name, fanins, function, cell)
         self.nodes[name] = node
-        self._invalidate()
+        fanouts = self._fanouts
+        if fanouts is not None:
+            fanouts[name] = set()
+            for fanin in fanins:
+                fanouts[fanin].add(name)
+        self._drop_order()
         return node
+
+    def set_function(self, name: str, fanins: Iterable[str],
+                     function: TruthTable) -> None:
+        """Replace an internal node's fanin list and function together.
+
+        Validates like :meth:`add_node` (arity must match, every fanin
+        must exist); the node keeps its name, cell, and readers.
+        """
+        node = self.nodes.get(name)
+        if node is None:
+            raise ValueError(f"unknown node {name!r}")
+        if node.is_input:
+            raise ValueError(f"cannot set the function of input {name!r}")
+        fanins = list(fanins)
+        self._check_fanins(name, fanins, function)
+        fanouts = self._fanouts
+        if fanouts is not None:
+            for fanin in node.fanins:
+                fanouts[fanin].discard(name)
+            for fanin in fanins:
+                fanouts[fanin].add(name)
+        node.fanins = fanins
+        node.function = function
+        self._drop_order()
 
     def set_output(self, name: str) -> None:
         """Mark an existing node as a primary output."""
@@ -146,8 +201,12 @@ class Network:
             raise ValueError(f"cannot remove {name!r}: fanouts {sorted(fanouts)}")
         if name in self.inputs:
             self.inputs.remove(name)
-        del self.nodes[name]
-        self._invalidate()
+        node = self.nodes.pop(name)
+        fanouts = self._fanouts
+        del fanouts[name]
+        for fanin in node.fanins:
+            fanouts[fanin].discard(name)
+        self._drop_order()
 
     def replace_fanin(self, node_name: str, old: str, new: str) -> None:
         """Rewire every ``old`` fanin of ``node_name`` to ``new``."""
@@ -157,7 +216,11 @@ class Network:
         if old not in node.fanins:
             raise ValueError(f"{old!r} is not a fanin of {node_name!r}")
         node.fanins = [new if f == old else f for f in node.fanins]
-        self._invalidate()
+        fanouts = self._fanouts
+        if fanouts is not None:
+            fanouts[old].discard(node_name)
+            fanouts[new].add(node_name)
+        self._drop_order()
 
     def substitute(self, old: str, new: str) -> None:
         """Redirect every reader of ``old`` (fanouts and POs) to ``new``."""
@@ -166,7 +229,9 @@ class Network:
         for reader in list(self.fanouts(old)):
             self.replace_fanin(reader, old, new)
         self.outputs = [new if out == old else out for out in self.outputs]
-        self._invalidate()
+        # A FlatNetwork snapshot bakes in the outputs and is keyed on
+        # the topological list's identity, so an output move drops it.
+        self._drop_order()
 
     def insert_buffer(self, driver: str, reader: str, name: str,
                       function: TruthTable, cell=None) -> Node:
@@ -186,7 +251,6 @@ class Network:
             self.outputs = [name if out == driver else out for out in self.outputs]
         else:
             self.replace_fanin(reader, driver, name)
-        self._invalidate()
         return node
 
     # ------------------------------------------------------------------
@@ -194,9 +258,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def _build_adjacency(self) -> None:
-        """Build every adjacency cache in one scan over the fanin lists.
+        """Build every adjacency cache from scratch in one fanin scan.
 
-        One pass fills fanout sets, edge-exact reader pins, the
+        Runs on the first query after an edit that needs an
+        order-bearing cache (and on the first ``fanouts()`` query of a
+        network).  One pass fills fanout sets, edge-exact reader pins, the
         first-seen unique-reader lists, and the unique-fanin in-degree
         counts together.  Uniqueness (a node may read the same signal
         twice) is detected by the fanout set's length delta, so the
@@ -230,7 +296,11 @@ class Network:
         self._in_degree = in_degree
 
     def fanouts(self, name: str) -> set[str]:
-        """Names of nodes that read ``name`` as a fanin."""
+        """Names of nodes that read ``name`` as a fanin.
+
+        The returned set is the live cache entry, updated in place by
+        later edits: copy it before editing the network while iterating.
+        """
         if self._fanouts is None:
             self._build_adjacency()
         return self._fanouts[name]

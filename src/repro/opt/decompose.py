@@ -15,7 +15,7 @@ Functionality is preserved exactly.
 
 from __future__ import annotations
 
-from repro.netlist.functions import TruthTable
+from repro.netlist.functions import TruthTable, _var_pattern
 from repro.netlist.network import Network
 from repro.opt.simplify import minimize_cubes
 from repro.opt.sweep import sweep
@@ -74,10 +74,8 @@ def _parity_structure(table: TruthTable) -> tuple[tuple[int, ...], bool] | None:
     if len(support) < 2:
         return None
     parity_bits = 0
-    for row in range(1 << table.n_inputs):
-        ones = sum(row >> k & 1 for k in support)
-        if ones & 1:
-            parity_bits |= 1 << row
+    for k in support:
+        parity_bits ^= _var_pattern(table.n_inputs, k)
     if table.bits == parity_bits:
         return support, False
     if table.bits == parity_bits ^ ((1 << (1 << table.n_inputs)) - 1):
@@ -90,9 +88,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
     node = network.nodes[name]
     const = node.function.const_value()
     if const is not None:
-        node.function = TruthTable.const(0, bool(const))
-        node.fanins = []
-        network._invalidate()
+        network.set_function(name, [], TruthTable.const(0, bool(const)))
         return
 
     parity = _parity_structure(node.function)
@@ -102,9 +98,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
         root = builder._tree("xor", TruthTable.xor(2), signals)
         if inverted:
             root = builder.inverter(root)
-        node.function = TruthTable.identity()
-        node.fanins = [root]
-        network._invalidate()
+        network.set_function(name, [root], TruthTable.identity())
         return
 
     cubes = minimize_cubes(node.function)
@@ -120,9 +114,7 @@ def decompose_node(network: Network, name: str, builder: _Builder) -> None:
         cube_signals.append(builder.and_tree(literals))
     root = builder.or_tree(cube_signals)
 
-    node.function = TruthTable.identity()
-    node.fanins = [root]
-    network._invalidate()
+    network.set_function(name, [root], TruthTable.identity())
 
 
 def decompose_network(network: Network, max_inputs: int = 2,

@@ -2,14 +2,14 @@
 
 Node functions in this flow are small (library cells top out at five
 inputs; optimizer nodes are kept under ten), so the exact method is
-affordable and sidesteps espresso's heuristics entirely: prime implicant
-generation by iterated merging, then an essential-prime extraction with a
-greedy completion of the cover.
+affordable and sidesteps espresso's heuristics entirely: every prime
+implicant (generated bit-parallel over the truth table), then an
+essential-prime extraction with a greedy completion of the cover.
 """
 
 from __future__ import annotations
 
-from repro.netlist.functions import TruthTable
+from repro.netlist.functions import TruthTable, _var_pattern
 from repro.netlist.network import Network
 
 _QM_LIMIT = 9
@@ -31,37 +31,39 @@ def _cube_string(n: int, spec: int, value: int) -> str:
 
 
 def prime_implicants(table: TruthTable) -> list[str]:
-    """All prime implicants of the function, as cube strings.
+    """All prime implicants of the function, as sorted cube strings.
 
-    Classic Quine-McCluskey merging, but on integer cubes grouped by
-    (specified-variable mask, ones count): two cubes can only merge when
-    they specify the same variables and their values differ in exactly
-    one bit, so grouping eliminates almost all candidate pairs.
+    Bit-parallel over the packed truth table instead of Quine-McCluskey
+    pair merging.  For each don't-care variable set ``D`` one integer
+    holds a bit at every row ``r`` (with ``D``'s bits clear) whose cube
+    ``(D, r)`` lies inside the on-set; it is the previous set's integer
+    ANDed with itself shifted across one variable of ``D``.  A cube is
+    prime when no one-variable widening is still an implicant.  That is
+    ``2**n`` big-integer steps of ``2**n`` bits each, so it is meant for
+    the exact path's ``n <= _QM_LIMIT``; the primes are the same set
+    QM merging finds.
     """
     n = table.n_inputs
     full = (1 << n) - 1
-    current = {(full, row) for row in table.minterms()}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        used: set[tuple[int, int]] = set()
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for spec, value in current:
-            key = (spec, bin(value).count("1"))
-            groups.setdefault(key, []).append((spec, value))
-        for (spec, ones), group in groups.items():
-            uppers = groups.get((spec, ones + 1), ())
-            for cube in group:
-                for upper in uppers:
-                    difference = cube[1] ^ upper[1]
-                    if difference & (difference - 1):
-                        continue
-                    merged.add((spec & ~difference, cube[1] & ~difference))
-                    used.add(cube)
-                    used.add(upper)
-        primes.update(current - used)
-        current = merged
-    return sorted(_cube_string(n, spec, value) for spec, value in primes)
+    implicants = [table.bits] * (1 << n)
+    for dont_care in range(1, 1 << n):
+        k = (dont_care & -dont_care).bit_length() - 1
+        narrower = implicants[dont_care & ~(1 << k)]
+        implicants[dont_care] = (
+            narrower & narrower >> (1 << k) & ~_var_pattern(n, k)
+        )
+    primes = []
+    for dont_care, cubes in enumerate(implicants):
+        for k in range(n):
+            if cubes and not dont_care >> k & 1:
+                wider = implicants[dont_care | 1 << k]
+                cubes &= ~(wider | wider << (1 << k))
+        spec = full & ~dont_care
+        while cubes:
+            row = (cubes & -cubes).bit_length() - 1
+            cubes &= cubes - 1
+            primes.append(_cube_string(n, spec, row))
+    return sorted(primes)
 
 
 def _cube_minterms(cube: str) -> list[int]:
@@ -190,9 +192,7 @@ def simplify_network(network: Network) -> int:
                 if index not in support:
                     table = table.cofactor(index, 0).remove_variable(index)
                     fanins.pop(index)
-            node.function = table
-            node.fanins = fanins
-            network._invalidate()
+            network.set_function(name, fanins, table)
             changed += 1
     return changed
 

@@ -356,9 +356,15 @@ class Daemon:
                 pass
         finally:
             try:
+                # Send the FIN explicitly: a worker forked while this
+                # connection was open holds a copy of its socket, so
+                # close() alone would not end the stream and a client
+                # reading to EOF would wait until its timeout.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
-            except ConnectionError:
+            except OSError:
                 pass
 
     async def _read_request(

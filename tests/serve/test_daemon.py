@@ -19,6 +19,9 @@ from repro.serve import (
 )
 
 GRID = ("z4ml", "x2")
+TIMEOUT_S = 60.0
+"""Client socket timeout: a stalled daemon fails the test with a
+traceback naming the call instead of hanging for the client default."""
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ def test_stream_replay_and_fresh_all_match_batch(tmp_path, batch):
     with BackgroundDaemon(settings(tmp_path)) as bg:
         # Cold submission: every row computed, streamed, stored.
         first = ResultStore(tmp_path / "first.jsonl")
-        summary = run_remote_campaign(bg.url, jobs, first)
+        summary = run_remote_campaign(bg.url, jobs, first, timeout_s=TIMEOUT_S)
         assert summary.ok == len(jobs)
         assert summary.failed == 0 and summary.poisoned == 0
         assert rows_equal(first.load(), batch_rows)
@@ -49,19 +52,23 @@ def test_stream_replay_and_fresh_all_match_batch(tmp_path, batch):
         # Resubmission: served from the result cache, still identical.
         second = ResultStore(tmp_path / "second.jsonl")
         lines = []
-        run_remote_campaign(bg.url, jobs, second, progress=lines.append)
+        run_remote_campaign(
+            bg.url, jobs, second, progress=lines.append, timeout_s=TIMEOUT_S
+        )
         assert rows_equal(second.load(), batch_rows)
         assert all("(replayed)" in line for line in lines)
-        health = get_health(bg.url)
+        health = get_health(bg.url, timeout_s=TIMEOUT_S)
         assert health["rows_replayed"] == len(jobs)
         assert health["results_cached"] == len(jobs)
 
         # fresh=True bypasses the result cache and recomputes.
         served_before = health["rows_served"]
         third = ResultStore(tmp_path / "third.jsonl")
-        run_remote_campaign(bg.url, jobs, third, fresh=True)
+        run_remote_campaign(
+            bg.url, jobs, third, fresh=True, timeout_s=TIMEOUT_S
+        )
         assert rows_equal(third.load(), batch_rows)
-        health = get_health(bg.url)
+        health = get_health(bg.url, timeout_s=TIMEOUT_S)
         assert health["rows_served"] == served_before + len(jobs)
         assert health["rows_replayed"] == len(jobs)  # unchanged
 
@@ -76,9 +83,13 @@ def test_warm_cache_hits_across_requests(tmp_path, batch):
     jobs, batch_rows = batch
     with BackgroundDaemon(settings(tmp_path, n_workers=1)) as bg:
         store = ResultStore(tmp_path / "warm.jsonl")
-        run_remote_campaign(bg.url, jobs, store, fresh=True)
-        run_remote_campaign(bg.url, jobs, store, fresh=True)
-        cache = get_health(bg.url)["worker_cache"]
+        run_remote_campaign(
+            bg.url, jobs, store, fresh=True, timeout_s=TIMEOUT_S
+        )
+        run_remote_campaign(
+            bg.url, jobs, store, fresh=True, timeout_s=TIMEOUT_S
+        )
+        cache = get_health(bg.url, timeout_s=TIMEOUT_S)["worker_cache"]
         # Round two reuses round one's prepared circuits and library.
         assert cache["hits"] > 0
         assert cache["library_hits"] > 0
@@ -91,9 +102,13 @@ def test_eviction_under_tiny_cap_keeps_rows_identical(tmp_path, batch):
         settings(tmp_path, n_workers=1, cache_bytes=1)
     ) as bg:
         store = ResultStore(tmp_path / "tiny.jsonl")
-        run_remote_campaign(bg.url, jobs, store, fresh=True)
-        run_remote_campaign(bg.url, jobs, store, fresh=True)
-        cache = get_health(bg.url)["worker_cache"]
+        run_remote_campaign(
+            bg.url, jobs, store, fresh=True, timeout_s=TIMEOUT_S
+        )
+        run_remote_campaign(
+            bg.url, jobs, store, fresh=True, timeout_s=TIMEOUT_S
+        )
+        cache = get_health(bg.url, timeout_s=TIMEOUT_S)["worker_cache"]
         assert cache["evictions"] > 0  # the cap really sheds entries
         assert rows_equal(store.load(), batch_rows)
 
@@ -108,13 +123,18 @@ def test_restart_replays_store_and_client_resume_converges(
     client = ResultStore(tmp_path / "client.jsonl")
 
     with BackgroundDaemon(daemon_settings) as bg:
-        summary = run_remote_campaign(bg.url, subset, client)
+        summary = run_remote_campaign(
+            bg.url, subset, client, timeout_s=TIMEOUT_S
+        )
         assert summary.ok == len(subset)
 
     # A new daemon over the same store starts with those results hot.
     with BackgroundDaemon(daemon_settings) as bg:
-        assert get_health(bg.url)["results_cached"] == len(subset)
-        summary = run_remote_campaign(bg.url, jobs, client, resume=True)
+        health = get_health(bg.url, timeout_s=TIMEOUT_S)
+        assert health["results_cached"] == len(subset)
+        summary = run_remote_campaign(
+            bg.url, jobs, client, resume=True, timeout_s=TIMEOUT_S
+        )
         assert summary.skipped == len(subset)
         assert summary.ok == len(jobs) - len(subset)
         assert rows_equal(client.load(), batch_rows)
@@ -122,7 +142,9 @@ def test_restart_replays_store_and_client_resume_converges(
         # Submitting the subset again replays from the reloaded store.
         replay = ResultStore(tmp_path / "replay.jsonl")
         lines = []
-        run_remote_campaign(bg.url, subset, replay, progress=lines.append)
+        run_remote_campaign(
+            bg.url, subset, replay, progress=lines.append, timeout_s=TIMEOUT_S
+        )
         assert all("(replayed)" in line for line in lines)
 
 
@@ -137,7 +159,7 @@ def test_work_stealing_matches_static_shards(tmp_path, batch):
 
     with BackgroundDaemon(settings(tmp_path)) as bg:
         served = ResultStore(tmp_path / "served.jsonl")
-        run_remote_campaign(bg.url, jobs, served)
+        run_remote_campaign(bg.url, jobs, served, timeout_s=TIMEOUT_S)
         assert rows_equal(served.load(), shard_rows)
 
 
@@ -146,7 +168,7 @@ def test_mismatched_execution_knobs_are_rejected(tmp_path, batch):
     with BackgroundDaemon(settings(tmp_path)) as bg:
         wrong = JobRequest(configs=(jobs[0].config(max_iter=999),))
         with pytest.raises(ServeError) as excinfo:
-            list(submit_stream(bg.url, wrong))
+            list(submit_stream(bg.url, wrong, timeout_s=TIMEOUT_S))
         assert excinfo.value.status == 400
         assert "does not match this daemon's" in excinfo.value.message
 
@@ -154,7 +176,7 @@ def test_mismatched_execution_knobs_are_rejected(tmp_path, batch):
             configs=(jobs[0].config(), jobs[0].config())
         )
         with pytest.raises(ServeError) as excinfo:
-            list(submit_stream(bg.url, duplicate))
+            list(submit_stream(bg.url, duplicate, timeout_s=TIMEOUT_S))
         assert excinfo.value.status == 400
         assert "duplicate job" in excinfo.value.message
 
@@ -165,24 +187,24 @@ def test_status_endpoint_tracks_a_request(tmp_path, batch):
         request = JobRequest(
             configs=tuple(job.config() for job in jobs)
         )
-        events = list(submit_stream(bg.url, request))
+        events = list(submit_stream(bg.url, request, timeout_s=TIMEOUT_S))
         assert events[0].event == "accepted"
         assert [e.event for e in events[1:-1]] == ["row"] * len(jobs)
         assert events[-1].event == "done"
         assert events[-1].status.completed == len(jobs)
 
-        status = get_status(bg.url, events[0].request_id)
+        status = get_status(bg.url, events[0].request_id, timeout_s=TIMEOUT_S)
         assert status.state == "done"
         assert status.ok == len(jobs)
 
         with pytest.raises(ServeError) as excinfo:
-            get_status(bg.url, "nonexistent")
+            get_status(bg.url, "nonexistent", timeout_s=TIMEOUT_S)
         assert excinfo.value.status == 404
 
 
 def test_health_reports_the_pool_and_caches(tmp_path):
     with BackgroundDaemon(settings(tmp_path)) as bg:
-        health = get_health(bg.url)
+        health = get_health(bg.url, timeout_s=TIMEOUT_S)
         assert health["status"] == "ok"
         assert health["workers"] == 2
         assert health["max_iter"] == 10
